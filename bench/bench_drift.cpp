@@ -21,11 +21,12 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/monitor.h"
+#include "serving/stream_server.h"
 
 using namespace safecross;
 using namespace safecross::core;
@@ -78,6 +79,28 @@ runtime::FaultPlan plan_for_drift(double px_per_frame, std::size_t frames) {
   return plan;
 }
 
+/// One camera through the sequential serving reference.
+std::unique_ptr<serving::StreamServer> run_camera(SafeCross& sc, const serving::StreamConfig& cam,
+                                                  std::size_t frames) {
+  serving::StreamServerConfig cfg;
+  cfg.frames = frames;
+  cfg.streams.push_back(cam);
+  auto server = std::make_unique<serving::StreamServer>(sc, cfg);
+  server->run_sequential();
+  return server;
+}
+
+void read_scorecard(const core::StreamScorecard& card, RunResult& r) {
+  r.decisions = card.decisions();
+  r.opportunities = card.decision_opportunities();
+  r.model_decisions = card.model_decisions();
+  r.fail_safe = card.fail_safe_decisions();
+  r.miscal_warns = card.fail_safe_by_source(runtime::DecisionSource::FailSafeMiscalibrated);
+  r.warnings = card.warnings();
+  r.missed_threats = card.missed_threats();
+  r.false_warnings = card.false_warnings();
+}
+
 RunResult run_arm(SafeCross& sc, bool recalib, double drift_rate, std::size_t frames,
                   std::uint64_t sim_seed) {
   RunResult r;
@@ -85,32 +108,25 @@ RunResult run_arm(SafeCross& sc, bool recalib, double drift_rate, std::size_t fr
   r.drift_rate = drift_rate;
   r.frames = frames;
   try {
-    sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), sim_seed);
-    const sim::CameraModel cam(sim.intersection().geometry());
-    const runtime::FaultPlan plan = plan_for_drift(drift_rate, frames);
+    serving::StreamConfig cam;
+    cam.sim_seed = sim_seed;
+    cam.collector_seed = sim_seed + 1;
     // Same injector seed in both arms: the drift trajectory is replayed
     // bit-for-bit, so any scorecard difference is the loop's doing.
-    runtime::FaultInjector injector(plan, /*seed=*/0xD21F7u);
-    MonitorConfig cfg;
-    cfg.recalib.enabled = recalib;
-    cfg.recalib.check_every_frames = 60;
-    RealtimeMonitor monitor(sc, sim, cam, cfg, /*seed=*/sim_seed + 1,
-                            plan.enabled() ? &injector : nullptr);
-    monitor.run(frames);
-    r.decisions = monitor.decisions();
-    r.opportunities = monitor.decision_opportunities();
-    r.model_decisions = monitor.model_decisions();
-    r.fail_safe = monitor.fail_safe_decisions();
-    r.miscal_warns = monitor.fail_safe_by_source(runtime::DecisionSource::FailSafeMiscalibrated);
-    r.warnings = monitor.warnings();
-    r.missed_threats = monitor.missed_threats();
-    r.false_warnings = monitor.false_warnings();
-    const runtime::RecalibrationLoop* loop = monitor.recalibration();
+    cam.faults = plan_for_drift(drift_rate, frames);
+    cam.fault_seed = 0xD21F7u;
+    cam.recalib.enabled = recalib;
+    cam.recalib.check_every_frames = 60;
+    const auto server = run_camera(sc, cam, frames);
+    const serving::StreamContext& ctx = server->stream(0);
+    read_scorecard(ctx.scorecard(), r);
+    const runtime::RecalibrationLoop* loop = ctx.recalibration();
     const vision::Homography applied =
         loop != nullptr ? loop->applied_view() : vision::Homography();
-    r.residual_drift_px = runtime::view_drift_px(applied, injector.view_perturbation(),
-                                                 cfg.recalib.frame_width,
-                                                 cfg.recalib.frame_height);
+    const vision::Homography truth =
+        ctx.injector() != nullptr ? ctx.injector()->view_perturbation() : vision::Homography();
+    r.residual_drift_px = runtime::view_drift_px(applied, truth, ctx.config().recalib.frame_width,
+                                                 ctx.config().recalib.frame_height);
     if (loop != nullptr) {
       r.episodes = loop->miscalibration_episodes();
       r.recalibrations = loop->recalibrations();
@@ -124,23 +140,15 @@ RunResult run_arm(SafeCross& sc, bool recalib, double drift_rate, std::size_t fr
   return r;
 }
 
-/// Plain run with no injector at all: the oracle for the parity guard.
+/// Plain run with no fault plan at all: the oracle for the parity guard.
 RunResult run_plain(SafeCross& sc, std::size_t frames, std::uint64_t sim_seed) {
   RunResult r = {};
   r.policy = "plain";
   r.frames = frames;
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), sim_seed);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  MonitorConfig cfg;
-  RealtimeMonitor monitor(sc, sim, cam, cfg, /*seed=*/sim_seed + 1, nullptr);
-  monitor.run(frames);
-  r.decisions = monitor.decisions();
-  r.opportunities = monitor.decision_opportunities();
-  r.model_decisions = monitor.model_decisions();
-  r.fail_safe = monitor.fail_safe_decisions();
-  r.warnings = monitor.warnings();
-  r.missed_threats = monitor.missed_threats();
-  r.false_warnings = monitor.false_warnings();
+  serving::StreamConfig cam;
+  cam.sim_seed = sim_seed;
+  cam.collector_seed = sim_seed + 1;
+  read_scorecard(run_camera(sc, cam, frames)->stream(0).scorecard(), r);
   return r;
 }
 

@@ -1,10 +1,10 @@
 // Robustness sweep — the fault-injection harness applied to the live
-// warning pipeline. For each fault rate the same seeded fault sequence is
-// replayed against two policy arms:
-//   * baseline  — fail-silent (the pre-robustness monitor): a gapped or
-//     corrupted window is classified like any other, or silently skipped;
-//   * fail-safe — the graceful-degradation runtime: untrustworthy windows
-//     produce a conservative warn tagged with a DecisionSource code.
+// warning service (one camera through the sequential serving reference,
+// StreamServer::run_sequential). For each fault rate a seeded fault
+// sequence is replayed and untrustworthy windows produce a conservative
+// warn tagged with a DecisionSource code instead of a model verdict. A
+// final arm on a clean feed makes every model-switch attempt fail, so no
+// model can serve.
 // Reports availability, missed-threat rate and false-warning rate per arm
 // and writes the sweep as JSON (default BENCH_robustness.json).
 //
@@ -13,11 +13,13 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
-#include "core/monitor.h"
+#include "models/slowfast.h"
+#include "serving/stream_server.h"
 
 using namespace safecross;
 using namespace safecross::core;
@@ -68,37 +70,40 @@ runtime::FaultPlan plan_for_rate(double rate) {
   return plan;
 }
 
-RunResult run_arm(SafeCross& sc, bool fail_safe_policy, double fault_rate,
+RunResult run_arm(SafeCross& sc, const char* policy, double fault_rate,
                   const runtime::FaultPlan& plan, int frames, std::uint64_t sim_seed) {
   RunResult r;
-  r.policy = fail_safe_policy ? "fail-safe" : "baseline";
+  r.policy = policy;
   r.fault_rate = fault_rate;
   r.frames = static_cast<std::size_t>(frames);
+  const std::size_t failed_before = sc.switcher().failed_switches();
   try {
-    sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), sim_seed);
-    const sim::CameraModel cam(sim.intersection().geometry());
-    // Same injector seed in both arms: the fault sequence is replayed
-    // bit-for-bit, so any scorecard difference is the policy's doing.
-    runtime::FaultInjector injector(plan, /*seed=*/0xFA17u);
-    MonitorConfig cfg;
-    cfg.fail_safe_policy = fail_safe_policy;
-    RealtimeMonitor monitor(sc, sim, cam, cfg, /*seed=*/sim_seed + 1,
-                            plan.enabled() ? &injector : nullptr);
-    for (int i = 0; i < frames; ++i) monitor.step();
-    r.decisions = monitor.decisions();
-    r.opportunities = monitor.decision_opportunities();
-    r.model_decisions = monitor.model_decisions();
-    r.fail_safe = monitor.fail_safe_decisions();
-    r.warnings = monitor.warnings();
-    r.missed_threats = monitor.missed_threats();
-    r.false_warnings = monitor.false_warnings();
-    r.frames_dropped = injector.frames_dropped();
-    r.switch_failures = injector.switch_failures();
+    serving::StreamServerConfig cfg;
+    cfg.frames = static_cast<std::size_t>(frames);
+    serving::StreamConfig cam;
+    cam.sim_seed = sim_seed;
+    cam.collector_seed = sim_seed + 1;
+    cam.faults = plan;
+    cam.fault_seed = 0xFA17u;
+    cfg.streams.push_back(cam);
+    serving::StreamServer server(sc, cfg);
+    server.run_sequential();
+    const core::StreamScorecard& card = server.stream(0).scorecard();
+    r.decisions = card.decisions();
+    r.opportunities = card.decision_opportunities();
+    r.model_decisions = card.model_decisions();
+    r.fail_safe = card.fail_safe_decisions();
+    r.warnings = card.warnings();
+    r.missed_threats = card.missed_threats();
+    r.false_warnings = card.false_warnings();
+    const runtime::FaultInjector* injector = server.stream(0).injector();
+    r.frames_dropped = injector != nullptr ? injector->frames_dropped() : 0;
   } catch (const std::exception& e) {
     ++r.uncaught_exceptions;
     std::printf("  !! uncaught exception (%s, rate %.2f): %s\n", r.policy.c_str(), fault_rate,
                 e.what());
   }
+  r.switch_failures = sc.switcher().failed_switches() - failed_before;
   return r;
 }
 
@@ -151,45 +156,38 @@ int main(int argc, char** argv) {
   cfg.basic_train.epochs = 3;
   SafeCross sc(cfg);
   sc.train_basic(bench::ptrs(day.segments));
-  std::printf("  trained on %zu daytime segments, %d frames per monitor arm\n",
+  std::printf("  trained on %zu daytime segments, %d frames per arm\n",
               day.segments.size(), frames);
 
-  bench::print_header("Fault-rate sweep: fail-silent baseline vs fail-safe policy");
+  bench::print_header("Fault-rate sweep: fail-safe gates under frame faults");
   std::printf("  %5s  %-9s %10s %7s %7s %11s %9s %9s %6s\n", "rate", "policy", "decisions",
               "avail", "mavail", "fail-safe", "missed", "false-w", "exc");
   const double rates[] = {0.0, 0.05, 0.10, 0.20};
   std::vector<RunResult> results;
   for (const double rate : rates) {
-    const auto plan = plan_for_rate(rate);
-    const auto baseline = run_arm(sc, /*fail_safe_policy=*/false, rate, plan, frames, 4242);
-    const auto failsafe = run_arm(sc, /*fail_safe_policy=*/true, rate, plan, frames, 4242);
-    print_result(baseline);
-    print_result(failsafe);
-    results.push_back(baseline);
-    results.push_back(failsafe);
+    results.push_back(run_arm(sc, "fail-safe", rate, plan_for_rate(rate), frames, 4242));
+    print_result(results.back());
   }
 
-  bench::print_header("Model-switch failure: 10% drops + every swap attempt dies");
-  auto hard_plan = plan_for_rate(0.10);
-  hard_plan.switch_failure_prob = 1.0;
-  const auto switch_run =
-      run_arm(sc, /*fail_safe_policy=*/true, 0.10, hard_plan, frames, 4242);
+  bench::print_header("Model-switch failure: clean feed, every swap attempt dies");
+  // A cold engine (no model active yet) whose switcher fails every
+  // attempt: no model can be made to serve, so every verdict must be a
+  // conservative warn. The feed is clean so that every due window would
+  // otherwise have gone to the model.
+  SafeCross cold(cfg);
+  cold.set_model(dataset::Weather::Daytime, std::make_unique<models::SlowFast>(cfg.model));
+  cold.switcher().set_failure_hook([](const std::string&) { return true; });
+  const auto switch_run = run_arm(cold, "switch-down", 0.0, plan_for_rate(0.0), frames, 4242);
   print_result(switch_run);
   results.push_back(switch_run);
-  std::printf("  every decision above ran fail-safe: the intersection kept its warning\n"
-              "  service (availability %.3f) with zero uncaught exceptions.\n",
+  std::printf("  %zu failed switch attempts; %zu of %zu decisions came from the model: the\n"
+              "  intersection kept its warning service (availability %.3f).\n",
+              switch_run.switch_failures, switch_run.model_decisions, switch_run.decisions,
               switch_run.availability());
 
   int total_exceptions = 0;
-  std::size_t shrunk = 0;
-  for (std::size_t i = 0; i + 1 < results.size(); i += 2) {
-    total_exceptions += results[i].uncaught_exceptions + results[i + 1].uncaught_exceptions;
-    if (results[i + 1].missed_rate() <= results[i].missed_rate() + 1e-9) ++shrunk;
-  }
-  total_exceptions += switch_run.uncaught_exceptions;
-  std::printf("\n  verdict: %d uncaught exceptions across all arms; fail-safe missed-threat\n"
-              "  rate <= baseline in %zu/%zu sweep points.\n",
-              total_exceptions, shrunk, results.size() / 2);
+  for (const RunResult& r : results) total_exceptions += r.uncaught_exceptions;
+  std::printf("\n  verdict: %d uncaught exceptions across all arms.\n", total_exceptions);
 
   std::FILE* f = std::fopen(json_path.c_str(), "w");
   if (f == nullptr) {

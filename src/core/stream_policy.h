@@ -1,28 +1,12 @@
 #pragma once
-// Shared per-stream decision policy for the live warning paths.
-//
-// The synchronous RealtimeMonitor and the multi-stream serving layer
-// (serving::StreamServer) must agree *exactly* on three things, or their
-// verdicts drift apart and the batched-equals-sequential parity contract
-// breaks:
-//
-//   * how a frame slot's fate (drop/freeze/noise/blackout) maps onto the
-//     SegmentCollector step and the HealthMonitor event stream;
-//   * which fail-safe gate fires for a due decision (most severe first);
-//   * how a delivered decision is scored against the simulator's ground
-//     truth.
-//
-// This header is the single home of that policy. RealtimeMonitor and the
-// serving StreamContext both call these functions, so a change here moves
-// every live path in lockstep — and the golden-trace suite pins the
-// combined behaviour.
+// Per-stream serving types shared by the serving and fleet layers: the
+// admission-control tier a stream is placed under and the online
+// scorecard its verdicts are tallied on.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "dataset/collector.h"
-#include "runtime/fault_injector.h"
 #include "runtime/health_monitor.h"
 
 namespace safecross::core {
@@ -39,19 +23,6 @@ enum class StreamPriority : std::uint8_t {
 };
 
 const char* stream_priority_name(StreamPriority p);
-
-/// Apply one frame slot's fate: exactly one collector step plus one
-/// health event per slot. Dropped and blacked-out slots count as missing
-/// (the content is gone); frozen and noise-burst slots count as degraded
-/// (content present but untrustworthy).
-void apply_frame_fault(dataset::SegmentCollector& collector, runtime::HealthMonitor& health,
-                       runtime::FrameFault fault);
-
-/// Fail-safe gates for a due decision, most severe first; Model means the
-/// classifier's verdict may be trusted.
-runtime::DecisionSource gate_reason(const runtime::HealthMonitor& health,
-                                    const dataset::SegmentCollector& collector,
-                                    int frames_per_segment);
 
 /// Online per-stream scorecard: decisions vs ground truth, fail-safe
 /// tallies by reason, warning availability, and decision latency

@@ -1,9 +1,10 @@
 #pragma once
-// Bounded MPMC queue connecting the staged monitor pipeline.
+// Bounded MPMC queue between the serving layer's stream producers and its
+// deciding thread.
 //
 // The live warning path must never let one wedged stage grow an unbounded
 // backlog (memory) or stall the whole service (latency). Every hand-off
-// between pipeline stages therefore goes through a BoundedQueue with three
+// between threads therefore goes through a BoundedQueue with three
 // pressure-relief behaviours, all observable through counters:
 //
 //   * backpressure — push(item, timeout) blocks while the queue is full,

@@ -155,13 +155,6 @@ void FaultInjector::perturb(vision::Image& frame) {
   }
 }
 
-bool FaultInjector::next_switch_fails() {
-  if (plan_.switch_failure_prob <= 0.0) return false;
-  const bool fails = rng_.bernoulli(plan_.switch_failure_prob);
-  if (fails) ++switch_failures_;
-  return fails;
-}
-
 void FaultInjector::truncate_file(const std::filesystem::path& path, std::size_t keep_bytes) {
   common::truncate_file(path, keep_bytes);
 }
@@ -184,7 +177,6 @@ void FaultInjector::save_state(common::StateWriter& w) const {
   w.u64(frames_frozen_);
   w.u64(noise_bursts_);
   w.u64(blackout_frames_total_);
-  w.u64(switch_failures_);
   geo_rng_.save_state(w);
   w.i32(frame_width_);
   w.i32(frame_height_);
@@ -211,7 +203,6 @@ void FaultInjector::load_state(common::StateReader& r) {
   frames_frozen_ = static_cast<std::size_t>(r.u64());
   noise_bursts_ = static_cast<std::size_t>(r.u64());
   blackout_frames_total_ = static_cast<std::size_t>(r.u64());
-  switch_failures_ = static_cast<std::size_t>(r.u64());
   geo_rng_.load_state(r);
   frame_width_ = r.i32();
   frame_height_ = r.i32();

@@ -68,8 +68,8 @@ struct GeometricFaultPlan {
   }
 };
 
-/// Per-frame fault probabilities plus infrastructure failure rates. All
-/// zero by default: a FaultInjector with a default plan is a no-op.
+/// Per-frame fault probabilities plus extrinsic camera faults. All zero
+/// by default: a FaultInjector with a default plan is a no-op.
 struct FaultPlan {
   double drop_prob = 0.0;     // P(frame lost) per frame
   double freeze_prob = 0.0;   // P(frame duplicated) per frame
@@ -77,12 +77,11 @@ struct FaultPlan {
   float noise_density = 0.25f;  // fraction of cells flipped in a burst
   double blackout_prob = 0.0;   // P(a blackout interval starts) per frame
   int blackout_frames = 30;     // blackout length once started (~1 s)
-  double switch_failure_prob = 0.0;  // P(a model switch attempt fails)
-  GeometricFaultPlan geometry;       // extrinsic camera faults
+  GeometricFaultPlan geometry;  // extrinsic camera faults
 
   bool enabled() const {
     return drop_prob > 0.0 || freeze_prob > 0.0 || noise_prob > 0.0 ||
-           blackout_prob > 0.0 || switch_failure_prob > 0.0 || geometry.enabled();
+           blackout_prob > 0.0 || geometry.enabled();
   }
 };
 
@@ -104,10 +103,6 @@ class FaultInjector {
   /// binary); Blackout zeroes the frame. Drop/Freeze are stream-level
   /// (the collector handles them) and None leaves the frame untouched.
   void perturb(vision::Image& frame);
-
-  /// Should the pending model-switch attempt fail? Wire this into
-  /// switching::ModelSwitcher's failure hook.
-  bool next_switch_fails();
 
   // --- geometric faults ---
   // Geometric faults draw from their own named RNG stream (seed ^ salt),
@@ -140,7 +135,6 @@ class FaultInjector {
   std::size_t frames_frozen() const { return frames_frozen_; }
   std::size_t noise_bursts() const { return noise_bursts_; }
   std::size_t blackout_frames_total() const { return blackout_frames_total_; }
-  std::size_t switch_failures() const { return switch_failures_; }
 
   // --- checkpoint corruption helpers (deterministic, file-level) ---
   // Thin forwards to common/checksum.h so the model-store tests, the fault
@@ -176,7 +170,6 @@ class FaultInjector {
   std::size_t frames_frozen_ = 0;
   std::size_t noise_bursts_ = 0;
   std::size_t blackout_frames_total_ = 0;
-  std::size_t switch_failures_ = 0;
 
   // Geometric fault state. geo_rng_ is the isolated named stream; the
   // drift direction / rotation sign / shake phases are drawn lazily on

@@ -39,7 +39,7 @@ enum class DecisionSource {
   FailSafeStaleWindow,       // too many frozen/duplicated frames in window
   FailSafeSwitchInFlight,    // model swap in progress or latched failure
   FailSafeDeadline,          // classifier blew the per-decision deadline
-  FailSafeStageDown,         // a pipeline stage exhausted its retry budget
+  FailSafeStageDown,         // a supervised producer exhausted its retry budget
   FailSafeMiscalibrated,     // camera drifted past the calibration threshold
   FleetDegraded,             // admission control degraded a low-priority
                              // stream on a hot shard to conservative warns
@@ -103,13 +103,12 @@ class HealthMonitor {
   bool miscalibrated() const { return miscalibrated_; }
 
   // --- supervisor latch ---
-  /// Pin FailSafe from outside the frame stream: a pipeline stage
-  /// exhausted its crash-restart budget, so no amount of healthy frames
-  /// makes the service trustworthy until an operator (or a rebuilt
-  /// pipeline) clears the latch. Thread-safe — the supervisor fires this
-  /// from a stage thread while the collect stage keeps feeding frame
-  /// events; the state machine itself escalates on the next frame event,
-  /// keeping `state_` single-writer.
+  /// Pin FailSafe from outside the frame stream: a supervised stream
+  /// producer exhausted its crash-restart budget, so no amount of healthy
+  /// frames makes the stream trustworthy until an operator clears the
+  /// latch. Thread-safe — the supervisor fires this from the failing
+  /// producer's thread; the state machine itself escalates on the next
+  /// frame event, keeping `state_` single-writer.
   void latch_fail_safe() { external_latch_.store(true, std::memory_order_release); }
   void clear_fail_safe_latch() { external_latch_.store(false, std::memory_order_release); }
   bool fail_safe_latched() const { return external_latch_.load(std::memory_order_acquire); }
@@ -136,9 +135,9 @@ class HealthMonitor {
 
   // --- checkpoint serialization ---
   // The full state machine (including the external supervisor latch), so
-  // a restored monitor gates the next decision exactly as the killed one
+  // a restored stream gates the next decision exactly as the killed one
   // would have. Single-threaded context only — recovery runs before any
-  // stage threads exist.
+  // producer threads exist.
   void save_state(common::StateWriter& w) const;
   void load_state(common::StateReader& r);
 

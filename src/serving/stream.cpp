@@ -7,6 +7,77 @@ namespace safecross::serving {
 using runtime::DecisionSource;
 using runtime::FrameFault;
 
+namespace {
+
+/// Apply one frame slot's fate: exactly one collector step plus one
+/// health event per slot. Dropped and blacked-out slots count as missing
+/// (the content is gone); frozen and noise-burst slots count as degraded
+/// (content present but untrustworthy).
+void apply_frame_fault(dataset::SegmentCollector& collector, runtime::HealthMonitor& health,
+                       FrameFault fault) {
+  switch (fault) {
+    case FrameFault::Dropped:
+      collector.step(dataset::FrameStatus::Dropped);
+      health.frame_missing();
+      break;
+    case FrameFault::Frozen:
+      collector.step(dataset::FrameStatus::Frozen);
+      health.frame_degraded();
+      break;
+    case FrameFault::Blackout:
+      collector.step(dataset::FrameStatus::Corrupted);  // the hook zeroed it
+      health.frame_missing();  // the slot is filled but its content is gone
+      break;
+    case FrameFault::NoiseBurst:
+      collector.step(dataset::FrameStatus::Corrupted);
+      health.frame_degraded();
+      break;
+    case FrameFault::None:
+      collector.step();
+      health.frame_ok();
+      break;
+  }
+}
+
+/// Fail-safe gates for a due decision, most severe first; Model means the
+/// classifier's verdict may be trusted.
+DecisionSource gate_reason(const runtime::HealthMonitor& health,
+                           const dataset::SegmentCollector& collector, int frames_per_segment) {
+  // Any hit means the model's verdict cannot be trusted right now: warn
+  // instead of guessing.
+  if (health.fail_safe_latched()) {
+    // A supervised worker exhausted its crash-restart budget: nothing
+    // downstream of it is trustworthy until the latch clears.
+    return DecisionSource::FailSafeStageDown;
+  }
+  if (health.switch_failure_latched() || health.switch_in_flight()) {
+    return DecisionSource::FailSafeSwitchInFlight;
+  }
+  if (health.miscalibrated()) {
+    // The camera moved and the top-down remap no longer lands where the
+    // classifier was trained to look: the window may be complete and fresh
+    // yet geometrically wrong, so warn until the recalibration loop swaps
+    // a corrected remap in.
+    return DecisionSource::FailSafeMiscalibrated;
+  }
+  const bool window_full =
+      collector.window().size() >= static_cast<std::size_t>(frames_per_segment);
+  if (!window_full || !collector.window_contiguous()) {
+    return DecisionSource::FailSafeIncompleteWindow;
+  }
+  if (health.window_stale(collector.fresh_in_window(), collector.window().size())) {
+    return DecisionSource::FailSafeStaleWindow;
+  }
+  if (health.state() == runtime::HealthState::FailSafe) {
+    // Sustained stream faults (e.g. a blackout short enough to slip past
+    // the per-window gates) — the watchdog says the feed is not trustworthy.
+    return DecisionSource::FailSafeStaleWindow;
+  }
+  return DecisionSource::Model;
+}
+
+}  // namespace
+
 StreamContext::StreamContext(StreamConfig config)
     : config_(std::move(config)),
       sim_(sim::weather_params(config_.weather), config_.sim_seed),
@@ -47,6 +118,10 @@ std::vector<runtime::RecalibrationEntry> StreamContext::take_recalibrations() {
 }
 
 std::optional<ReadyWindow> StreamContext::tick() {
+  // The latency budget starts when the frame slot is captured, so a
+  // verdict's capture→verdict time includes the VP work of the frame that
+  // completed its window.
+  const auto captured = std::chrono::steady_clock::now();
   ++frame_;
 
   // Scheduled model switches: from this frame on the stream's decisions
@@ -64,7 +139,7 @@ std::optional<ReadyWindow> StreamContext::tick() {
 
   FrameFault fault = FrameFault::None;
   if (injector_active_) fault = injector_.next_frame_fault();
-  core::apply_frame_fault(collector_, health_, fault);
+  apply_frame_fault(collector_, health_, fault);
   if (recalib_) {
     // The loop (and its estimate/apply callbacks) runs right here on the
     // producer thread, which owns the sim and collector. Completed
@@ -100,13 +175,13 @@ std::optional<ReadyWindow> StreamContext::tick() {
   // gate would deliver anyway; only the tagged source differs.
   w.gate = (config_.fleet_degraded || live_degraded())
                ? DecisionSource::FleetDegraded
-               : core::gate_reason(health_, collector_, config_.vp.frames_per_segment);
+               : gate_reason(health_, collector_, config_.vp.frames_per_segment);
   w.model_weather = model_weather_;
   w.epoch = switch_epoch_;
   if (w.gate == DecisionSource::Model) {
     w.window.assign(collector_.window().begin(), collector_.window().end());
   }
-  w.captured = std::chrono::steady_clock::now();
+  w.captured = captured;
   return w;
 }
 

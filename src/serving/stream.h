@@ -4,15 +4,14 @@
 // HealthMonitor, fault plan and model-switch schedule.
 //
 // A StreamContext is the producer half of the serving split. tick()
-// advances exactly one frame slot — the same ingest ordering as
-// RealtimeMonitor (schedule check, fault fate, collector step + health
-// event, due check, gate resolution) — and, when a decision is due,
-// emits a ReadyWindow carrying everything the inference side needs: the
-// resolved fail-safe gate, the weather whose model must judge it, the
-// ground truth to score against, and (only when the model may run) a
-// copy of the 32-frame window. The inference side — the batcher thread
-// in batched mode, the same thread in the sequential reference — calls
-// apply() with the verdict.
+// advances exactly one frame slot (schedule check, fault fate, collector
+// step + health event, due check, gate resolution) and, when a decision
+// is due, emits a ReadyWindow carrying everything the inference side
+// needs: the resolved fail-safe gate, the weather whose model must judge
+// it, the ground truth to score against, and (only when the model may
+// run) a copy of the 32-frame window. The inference side — the batcher
+// thread in batched mode, the same thread in the sequential reference —
+// calls apply() with the verdict.
 //
 // Determinism contract: all stream state (sim, collector noise, faults,
 // switch schedule) is seeded and frame-indexed, never wall-clock-driven,
@@ -53,9 +52,9 @@ using dataset::Weather;
 /// this stream's decisions want the `to` weather's model. `delay_ms` is
 /// the stream-visible swap latency: the health watchdog treats
 /// ceil(delay_ms / frame_interval_ms) frames as switch-in-flight, gating
-/// decisions conservative exactly as RealtimeMonitor does during a live
-/// swap. Frame-indexed and per-stream, so batched and sequential runs
-/// see the identical gate sequence.
+/// decisions conservative while the swap is in flight. Frame-indexed and
+/// per-stream, so batched and sequential runs see the identical gate
+/// sequence.
 struct ModelSwitchEvent {
   std::size_t at_frame = 0;
   Weather to = Weather::Daytime;
@@ -119,7 +118,8 @@ struct ReadyWindow {
   // co-batch (they may be judged by different cache residencies).
   std::uint32_t epoch = 0;
   std::vector<vision::Image> window;  // populated only when gate == Model
-  std::chrono::steady_clock::time_point captured;  // latency budget start
+  // Latency budget start: the beginning of the tick() that produced it.
+  std::chrono::steady_clock::time_point captured;
 };
 
 /// One scored verdict, recorded in per-stream seq order so traces from

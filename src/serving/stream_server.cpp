@@ -6,7 +6,6 @@
 
 #include "common/checksum.h"
 #include "common/state_io.h"
-#include "common/timer.h"
 #include "switching/grouping.h"
 #include "vision/danger_zone.h"
 
@@ -136,7 +135,6 @@ std::uint64_t StreamServer::config_fingerprint() const {
     w.f64(sc.faults.noise_prob);
     w.f64(sc.faults.blackout_prob);
     w.i32(sc.faults.blackout_frames);
-    w.f64(sc.faults.switch_failure_prob);
     w.f64(sc.faults.geometry.drift_px_per_frame);
     w.f64(sc.faults.geometry.drift_rot_per_frame);
     w.u64(sc.faults.geometry.drift_start_frame);
@@ -532,9 +530,8 @@ void StreamServer::decide_batch(Batch& batch) {
     const double latency =
         std::chrono::duration<double, std::milli>(now - item.captured).count();
     StreamContext& ctx = *streams_[item.stream];
-    // Deadline budget spans capture → verdict in batched mode (as in the
-    // pipelined monitor); off by default so wall clocks never perturb
-    // parity.
+    // Deadline budget spans capture → verdict in both modes; off by
+    // default so wall clocks never perturb parity.
     if (d.source == DecisionSource::Model && ctx.health().deadline_blown(latency)) {
       d.warn = true;
       d.predicted_class = 0;
@@ -1133,11 +1130,10 @@ void StreamServer::run_sequential() {
         if (snapshot_due()) write_snapshot_now();
         continue;
       }
-      Timer latency;
       core::SafeCross::Decision d = engine_.classify_as(*served, w->window);
-      const double ms = latency.elapsed_ms();
-      // Classifier-time deadline, as in the synchronous monitor; off by
-      // default.
+      // Capture→verdict, as in run(); so is the deadline (off by default).
+      const double ms =
+          std::chrono::duration<double, std::milli>(Clock::now() - w->captured).count();
       if (ctx.health().deadline_blown(ms)) {
         d.warn = true;
         d.predicted_class = 0;

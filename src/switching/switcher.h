@@ -69,7 +69,7 @@ class ModelSwitcher {
 
   /// Fault-injection hook: consulted once per non-trivial switch attempt;
   /// returning true makes the attempt fail as a simulated transfer error.
-  /// Pass nullptr to remove. (See runtime::FaultInjector::next_switch_fails.)
+  /// Pass nullptr to remove.
   void set_failure_hook(std::function<bool(const std::string&)> hook) {
     failure_hook_ = std::move(hook);
   }

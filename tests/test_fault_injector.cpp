@@ -24,7 +24,6 @@ TEST(FaultInjector, DefaultPlanInjectsNothing) {
   EXPECT_EQ(inj.frames_frozen(), 0u);
   EXPECT_EQ(inj.noise_bursts(), 0u);
   EXPECT_EQ(inj.blackout_frames_total(), 0u);
-  EXPECT_FALSE(inj.next_switch_fails());
 }
 
 TEST(FaultInjector, PerturbWithNoFaultLeavesFrameUntouched) {
@@ -124,19 +123,6 @@ TEST(FaultInjector, NoiseBurstFlipsCellsKeepsOccupancyBinary) {
   // ~half the empty cells lit up: the frame must have changed a lot.
   changed = frame.count_above(0.5f);
   EXPECT_GT(changed, 200u);
-}
-
-TEST(FaultInjector, SwitchFailureRateFollowsPlan) {
-  FaultPlan plan;
-  plan.switch_failure_prob = 0.5;
-  FaultInjector inj(plan, 23);
-  const int n = 2000;
-  int fails = 0;
-  for (int i = 0; i < n; ++i) {
-    if (inj.next_switch_fails()) ++fails;
-  }
-  EXPECT_NEAR(static_cast<double>(fails) / n, 0.5, 0.05);
-  EXPECT_EQ(inj.switch_failures(), static_cast<std::size_t>(fails));
 }
 
 struct TempFile {

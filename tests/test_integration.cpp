@@ -1,12 +1,12 @@
 // End-to-end integration: simulate -> VP -> train -> adapt -> switch ->
-// monitor live warnings — the full paper pipeline at miniature scale.
+// serve live warnings — the full paper pipeline at miniature scale.
 
 #include <gtest/gtest.h>
 
-#include "core/monitor.h"
 #include "core/safecross.h"
 #include "dataset/builder.h"
 #include "fewshot/trainer.h"
+#include "serving/stream_server.h"
 
 namespace safecross {
 namespace {
@@ -40,14 +40,19 @@ TEST(Integration, FullPipelineProducesUsefulLiveWarnings) {
   sc.train_basic(ptrs(day.segments));
 
   // 3) Deploy over a live (fresh-seed) simulation and score decisions.
-  sim::TrafficSimulator live(sim::weather_params(Weather::Daytime), 555);
-  const sim::CameraModel cam(live.intersection().geometry());
-  core::MonitorConfig mon_cfg;
-  core::RealtimeMonitor monitor(sc, live, cam, mon_cfg, 556);
-  for (int i = 0; i < 30 * 60 * 10 && monitor.decisions() < 60; ++i) monitor.step();
+  // About 95 simulated seconds of this seed's traffic yields 60 decisions.
+  serving::StreamServerConfig live;
+  live.frames = 30 * 95;
+  serving::StreamConfig cam;
+  cam.sim_seed = 555;
+  cam.collector_seed = 556;
+  live.streams.push_back(cam);
+  serving::StreamServer server(sc, live);
+  server.run_sequential();
 
-  ASSERT_GE(monitor.decisions(), 20u) << "monitor produced too few decisions";
-  EXPECT_GT(monitor.accuracy(), 0.6) << "live accuracy should beat chance";
+  const core::StreamScorecard& card = server.stream(0).scorecard();
+  ASSERT_GE(card.decisions(), 20u) << "the live service produced too few decisions";
+  EXPECT_GT(card.accuracy(), 0.6) << "live accuracy should beat chance";
 }
 
 TEST(Integration, WeatherAdaptationAndSwitchingRoundTrip) {

@@ -1,14 +1,13 @@
-// RealtimeMonitor under injected faults: the fail-safe policy must never
-// feed a gapped window to the classifier as if it were contiguous, must
-// tally fail-safe decisions separately in the online scorecard, and —
-// with the injector disabled — must be bit-identical to the policy-free
-// (pre-robustness) behaviour.
+// One camera's warning service under injected faults, driven through the
+// sequential serving reference (StreamServer::run_sequential) or, where a
+// test must watch each frame, through StreamContext::tick(). The fail-safe
+// gates must never feed a gapped window to the classifier as if it were
+// contiguous, must tally fail-safe decisions separately in the online
+// scorecard, and — with no faults — must leave every verdict to the model.
 //
 // The framework under test uses untrained (but deterministically
 // initialized) models: the robustness machinery is about *when* the model
 // is consulted, not about what it has learned.
-
-#include "core/monitor.h"
 
 #include <memory>
 #include <tuple>
@@ -17,9 +16,14 @@
 #include <gtest/gtest.h>
 
 #include "models/slowfast.h"
+#include "serving/stream_server.h"
 
 namespace safecross::core {
 namespace {
+
+using serving::StreamConfig;
+using serving::StreamContext;
+using serving::StreamServer;
 
 SafeCrossConfig tiny_config() {
   SafeCrossConfig cfg;
@@ -35,162 +39,171 @@ std::unique_ptr<SafeCross> framework_with_daytime_model() {
   return sc;
 }
 
-using DecisionTrace = std::vector<std::tuple<int, int, float, bool>>;
+StreamConfig camera(std::uint64_t sim_seed, std::uint64_t collector_seed,
+                    std::uint64_t fault_seed = 0xFA0117u) {
+  StreamConfig cfg;
+  cfg.sim_seed = sim_seed;
+  cfg.collector_seed = collector_seed;
+  cfg.fault_seed = fault_seed;
+  return cfg;
+}
 
-DecisionTrace run_monitor(SafeCross& sc, bool fail_safe_policy, int frames,
-                          std::uint64_t sim_seed, std::uint64_t collector_seed) {
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), sim_seed);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  MonitorConfig cfg;
-  cfg.fail_safe_policy = fail_safe_policy;
-  RealtimeMonitor monitor(sc, sim, cam, cfg, collector_seed);
+/// One camera through the sequential reference, verdict trace recorded.
+std::unique_ptr<StreamServer> run_camera(SafeCross& sc, const StreamConfig& cam,
+                                         std::size_t frames) {
+  serving::StreamServerConfig cfg;
+  cfg.frames = frames;
+  cfg.record_traces = true;
+  cfg.streams.push_back(cam);
+  auto server = std::make_unique<StreamServer>(sc, cfg);
+  server->run_sequential();
+  return server;
+}
+
+using DecisionTrace = std::vector<std::tuple<std::size_t, int, float, bool>>;
+
+DecisionTrace trace_of(const StreamServer& server) {
   DecisionTrace trace;
-  for (int i = 0; i < frames; ++i) {
-    const auto tick = monitor.step();
-    if (tick.decision_made) {
-      trace.emplace_back(i, tick.decision.predicted_class, tick.decision.prob_danger,
-                         tick.decision.warn);
-    }
+  for (const serving::DecisionRecord& d : server.stream(0).trace()) {
+    trace.emplace_back(d.frame, d.predicted_class, d.prob_danger, d.warn);
   }
   return trace;
 }
 
 TEST(RuntimeMonitor, FailSafePolicyIsBitIdenticalWithoutFaults) {
+  // Without faults no gate fires: every due window goes to the model, so
+  // the served trace equals classifying each due window directly.
   auto sc = framework_with_daytime_model();
-  const auto with_policy = run_monitor(*sc, /*fail_safe_policy=*/true, 30 * 240, 71, 72);
-  const auto without_policy = run_monitor(*sc, /*fail_safe_policy=*/false, 30 * 240, 71, 72);
-  ASSERT_FALSE(with_policy.empty()) << "the run produced no decisions to compare";
-  EXPECT_EQ(with_policy, without_policy);
+  const StreamConfig cam = camera(71, 72);
+  constexpr std::size_t kFrames = 30 * 240;
+  const DecisionTrace served = trace_of(*run_camera(*sc, cam, kFrames));
+
+  StreamContext ctx(cam);
+  DecisionTrace direct;
+  while (ctx.frames_run() < kFrames) {
+    const auto w = ctx.tick();
+    if (!w) continue;
+    ASSERT_EQ(w->gate, runtime::DecisionSource::Model) << "frame " << w->frame;
+    const SafeCross::Decision d = sc->classify_as(dataset::Weather::Daytime, w->window);
+    direct.emplace_back(w->frame, d.predicted_class, d.prob_danger, d.warn);
+  }
+  ASSERT_FALSE(served.empty()) << "the run produced no decisions to compare";
+  EXPECT_EQ(served, direct);
 }
 
 TEST(RuntimeMonitor, GappedWindowNeverReachesModel) {
   auto sc = framework_with_daytime_model();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 73);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  runtime::FaultPlan plan;
-  plan.drop_prob = 0.30;  // heavy frame loss: most windows carry a gap
-  runtime::FaultInjector injector(plan, 74);
-  MonitorConfig cfg;  // fail-safe policy on by default
-  RealtimeMonitor monitor(*sc, sim, cam, cfg, 75, &injector);
-  std::size_t model_decisions = 0, fail_safe = 0;
-  for (int i = 0; i < 30 * 120; ++i) {
-    const auto tick = monitor.step();
-    if (!tick.decision_made) continue;
-    if (tick.decision.source == runtime::DecisionSource::Model) {
-      ++model_decisions;
+  StreamConfig cam = camera(73, 75, 74);
+  cam.faults.drop_prob = 0.30;  // heavy frame loss: most windows carry a gap
+  constexpr std::size_t kFrames = 30 * 120;
+
+  StreamContext ctx(cam);
+  std::size_t model_gates = 0, fail_safe_gates = 0;
+  while (ctx.frames_run() < kFrames) {
+    const auto w = ctx.tick();
+    if (!w) continue;
+    if (w->gate == runtime::DecisionSource::Model) {
+      ++model_gates;
       // The invariant under test: a model verdict implies the window the
-      // classifier saw was full, gap-free and sufficiently fresh.
-      EXPECT_TRUE(monitor.collector().window_contiguous());
-      EXPECT_GE(monitor.collector().window().size(), 32u);
+      // classifier sees is full, gap-free and sufficiently fresh.
+      EXPECT_TRUE(ctx.collector().window_contiguous());
+      EXPECT_EQ(w->window.size(), 32u);
     } else {
-      ++fail_safe;
-      EXPECT_TRUE(tick.decision.warn) << "fail-safe decisions always warn";
-      EXPECT_EQ(tick.decision.predicted_class, 0);
+      ++fail_safe_gates;
+      EXPECT_TRUE(w->window.empty()) << "a gated window must not be copied";
     }
   }
-  EXPECT_GT(injector.frames_dropped(), 0u);
-  EXPECT_GT(fail_safe, 0u) << "30% drops must force some fail-safe decisions";
-  EXPECT_EQ(monitor.fail_safe_decisions(), fail_safe);
-  EXPECT_EQ(monitor.model_decisions(), model_decisions);
+  ASSERT_NE(ctx.injector(), nullptr);
+  EXPECT_GT(ctx.injector()->frames_dropped(), 0u);
+  EXPECT_GT(fail_safe_gates, 0u) << "30% drops must force some fail-safe decisions";
+
+  const auto server = run_camera(*sc, cam, kFrames);
+  const StreamScorecard& card = server->stream(0).scorecard();
+  EXPECT_EQ(card.fail_safe_decisions(), fail_safe_gates);
+  EXPECT_EQ(card.model_decisions(), model_gates);
+  for (const serving::DecisionRecord& d : server->stream(0).trace()) {
+    if (d.source == runtime::DecisionSource::Model) continue;
+    EXPECT_TRUE(d.warn) << "fail-safe decisions always warn";
+    EXPECT_EQ(d.predicted_class, 0);
+  }
 }
 
 TEST(RuntimeMonitor, ScorecardSeparatesFailSafeFromModelDecisions) {
   auto sc = framework_with_daytime_model();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 76);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  runtime::FaultPlan plan;
-  plan.drop_prob = 0.10;
-  plan.freeze_prob = 0.10;
-  plan.noise_prob = 0.05;
-  plan.blackout_prob = 0.002;
-  runtime::FaultInjector injector(plan, 77);
-  RealtimeMonitor monitor(*sc, sim, cam, MonitorConfig{}, 78, &injector);
-  for (int i = 0; i < 30 * 180; ++i) monitor.step();
+  StreamConfig cam = camera(76, 78, 77);
+  cam.faults.drop_prob = 0.10;
+  cam.faults.freeze_prob = 0.10;
+  cam.faults.noise_prob = 0.05;
+  cam.faults.blackout_prob = 0.002;
+  const auto server = run_camera(*sc, cam, 30 * 180);
+  const StreamScorecard& card = server->stream(0).scorecard();
 
-  EXPECT_EQ(monitor.decisions(), monitor.model_decisions() + monitor.fail_safe_decisions());
-  EXPECT_EQ(monitor.decisions(),
-            monitor.correct() + monitor.missed_threats() + monitor.false_warnings());
-  EXPECT_LE(monitor.decisions(), monitor.decision_opportunities());
+  EXPECT_EQ(card.decisions(), card.model_decisions() + card.fail_safe_decisions());
+  EXPECT_EQ(card.decisions(), card.correct() + card.missed_threats() + card.false_warnings());
+  EXPECT_LE(card.decisions(), card.decision_opportunities());
   // Per-source counts add up to the totals.
   std::size_t by_source_sum = 0;
   for (int s = 0; s < runtime::kDecisionSourceCount; ++s) {
-    by_source_sum += monitor.fail_safe_by_source(static_cast<runtime::DecisionSource>(s));
+    by_source_sum += card.fail_safe_by_source(static_cast<runtime::DecisionSource>(s));
   }
-  EXPECT_EQ(by_source_sum, monitor.decisions());
-  EXPECT_EQ(monitor.fail_safe_by_source(runtime::DecisionSource::Model),
-            monitor.model_decisions());
+  EXPECT_EQ(by_source_sum, card.decisions());
+  EXPECT_EQ(card.fail_safe_by_source(runtime::DecisionSource::Model), card.model_decisions());
 }
 
 TEST(RuntimeMonitor, SwitchFailureRunsFailSafeWithoutThrowing) {
   auto sc = framework_with_daytime_model();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 79);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  runtime::FaultPlan plan;
-  plan.switch_failure_prob = 1.0;  // every swap attempt dies
-  runtime::FaultInjector injector(plan, 80);
-  MonitorConfig cfg;
-  RealtimeMonitor monitor(*sc, sim, cam, cfg, 81, &injector);  // must not throw
-  EXPECT_EQ(monitor.health().state(), runtime::HealthState::FailSafe);
-  std::size_t decisions = 0;
-  for (int i = 0; i < 30 * 240; ++i) {
-    const auto tick = monitor.step();
-    if (tick.decision_made) {
-      ++decisions;
-      EXPECT_TRUE(runtime::is_fail_safe(tick.decision.source));
-      EXPECT_EQ(tick.decision.source, runtime::DecisionSource::FailSafeSwitchInFlight);
-      EXPECT_TRUE(tick.decision.warn);
-    }
+  // Every swap attempt dies: no model can ever be made to serve.
+  sc->switcher().set_failure_hook([](const std::string&) { return true; });
+  const auto server = run_camera(*sc, camera(79, 81, 80), 30 * 240);  // must not throw
+  sc->switcher().set_failure_hook(nullptr);
+
+  const StreamScorecard& card = server->stream(0).scorecard();
+  EXPECT_GT(card.decisions(), 0u);
+  EXPECT_EQ(card.model_decisions(), 0u);
+  for (const serving::DecisionRecord& d : server->stream(0).trace()) {
+    EXPECT_EQ(d.source, runtime::DecisionSource::FailSafeSwitchInFlight);
+    EXPECT_TRUE(d.warn);
   }
-  EXPECT_GT(decisions, 0u);
-  EXPECT_EQ(monitor.model_decisions(), 0u);
-  EXPECT_GT(injector.switch_failures(), 0u);
+  EXPECT_GT(sc->switcher().failed_switches(), 0u);
 }
 
 TEST(RuntimeMonitor, BlackoutForcesConservativeDecisions) {
-  auto sc = framework_with_daytime_model();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 82);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  runtime::FaultPlan plan;
-  plan.blackout_prob = 0.01;
-  plan.blackout_frames = 60;  // two-second camera blindness
-  runtime::FaultInjector injector(plan, 83);
-  RealtimeMonitor monitor(*sc, sim, cam, MonitorConfig{}, 84, &injector);
-  for (int i = 0; i < 30 * 120; ++i) {
-    const auto tick = monitor.step();
-    if (tick.decision_made && tick.frame_fault == runtime::FrameFault::Blackout) {
+  StreamConfig cam = camera(82, 84, 83);
+  cam.faults.blackout_prob = 0.01;
+  cam.faults.blackout_frames = 60;  // two-second camera blindness
+  StreamContext ctx(cam);
+  while (ctx.frames_run() < 30 * 120) {
+    const auto w = ctx.tick();
+    if (w && ctx.injector()->current_frame_fault() == runtime::FrameFault::Blackout) {
       // Deciding *during* a blackout must never trust the model: the
       // window is mostly zeros regardless of what is on the road.
-      EXPECT_TRUE(runtime::is_fail_safe(tick.decision.source))
-          << "frame " << i << " decided from a blacked-out window";
+      EXPECT_TRUE(runtime::is_fail_safe(w->gate))
+          << "frame " << w->frame << " decided from a blacked-out window";
     }
   }
-  EXPECT_GT(injector.blackout_frames_total(), 0u);
+  EXPECT_GT(ctx.injector()->blackout_frames_total(), 0u);
 }
 
 TEST(RuntimeMonitor, CameraDriftSelfHealsThroughRecalibration) {
   auto sc = framework_with_daytime_model();
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 88);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  runtime::FaultPlan plan;
-  plan.geometry.drift_px_per_frame = 0.04;  // ~1.2 px per 30-frame check
-  plan.geometry.drift_stop_frame = 600;     // then the camera holds still
-  runtime::FaultInjector injector(plan, 89);
-  MonitorConfig cfg;
-  cfg.recalib.enabled = true;
-  RealtimeMonitor monitor(*sc, sim, cam, cfg, 90, &injector);
+  StreamConfig cam = camera(88, 90, 89);
+  cam.faults.geometry.drift_px_per_frame = 0.04;  // ~1.2 px per 30-frame check
+  cam.faults.geometry.drift_stop_frame = 600;     // then the camera holds still
+  cam.recalib.enabled = true;
+  const auto server = run_camera(*sc, cam, 30 * 240);
+  const StreamContext& ctx = server->stream(0);
+
   std::size_t miscal_warns = 0, model_after_recovery = 0;
-  for (int i = 0; i < 30 * 240; ++i) {
-    const auto tick = monitor.step();
-    if (!tick.decision_made) continue;
-    if (tick.decision.source == runtime::DecisionSource::FailSafeMiscalibrated) {
+  for (const serving::DecisionRecord& d : ctx.trace()) {
+    if (d.source == runtime::DecisionSource::FailSafeMiscalibrated) {
       ++miscal_warns;
-      EXPECT_TRUE(tick.decision.warn) << "miscalibrated decisions must warn";
-      EXPECT_EQ(tick.decision.predicted_class, 0);
-    } else if (i > 1500 && tick.decision.source == runtime::DecisionSource::Model) {
+      EXPECT_TRUE(d.warn) << "miscalibrated decisions must warn";
+      EXPECT_EQ(d.predicted_class, 0);
+    } else if (d.frame > 1500 && d.source == runtime::DecisionSource::Model) {
       ++model_after_recovery;
     }
   }
-  const runtime::RecalibrationLoop* loop = monitor.recalibration();
+  const runtime::RecalibrationLoop* loop = ctx.recalibration();
   ASSERT_NE(loop, nullptr);
   EXPECT_GT(loop->miscalibration_episodes(), 0u) << "drift never latched";
   EXPECT_GT(loop->recalibrations(), 0u) << "no solve ever landed";
@@ -199,51 +212,41 @@ TEST(RuntimeMonitor, CameraDriftSelfHealsThroughRecalibration) {
   EXPECT_EQ(loop->state(), runtime::CalibrationState::Calibrated);
   // The healed calibration tracks the injected perturbation to within the
   // drift threshold — the loop measured, chased and caught the camera.
-  EXPECT_LT(runtime::view_drift_px(loop->applied_view(), injector.view_perturbation(),
-                                   cam.config().width, cam.config().height),
-            cfg.recalib.drift_threshold_px);
+  const runtime::RecalibrationConfig& rc = ctx.config().recalib;
+  EXPECT_LT(runtime::view_drift_px(loop->applied_view(), ctx.injector()->view_perturbation(),
+                                   rc.frame_width, rc.frame_height),
+            rc.drift_threshold_px);
 }
 
 TEST(RuntimeMonitor, RecalibrationIdleWithoutDriftIsBitIdentical) {
   // With the loop enabled but the camera steady, drift checks run and must
   // all come back below threshold: no latch, no swap, and the decision
-  // stream is bit-identical to a monitor without the loop.
+  // stream is bit-identical to a camera without the loop.
   auto sc = framework_with_daytime_model();
-  const auto baseline = run_monitor(*sc, /*fail_safe_policy=*/true, 30 * 120, 91, 92);
+  StreamConfig cam = camera(91, 92);
+  constexpr std::size_t kFrames = 30 * 120;
+  const DecisionTrace baseline = trace_of(*run_camera(*sc, cam, kFrames));
 
-  sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 91);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  MonitorConfig cfg;
-  cfg.recalib.enabled = true;
-  RealtimeMonitor monitor(*sc, sim, cam, cfg, 92);
-  DecisionTrace trace;
-  for (int i = 0; i < 30 * 120; ++i) {
-    const auto tick = monitor.step();
-    if (tick.decision_made) {
-      trace.emplace_back(i, tick.decision.predicted_class, tick.decision.prob_danger,
-                         tick.decision.warn);
-    }
-  }
-  const runtime::RecalibrationLoop* loop = monitor.recalibration();
+  cam.recalib.enabled = true;
+  const auto server = run_camera(*sc, cam, kFrames);
+  const runtime::RecalibrationLoop* loop = server->stream(0).recalibration();
   ASSERT_NE(loop, nullptr);
   EXPECT_GT(loop->checks_run(), 0u);
   EXPECT_EQ(loop->miscalibration_episodes(), 0u);
   EXPECT_EQ(loop->recalibrations(), 0u);
-  EXPECT_EQ(trace, baseline);
+  EXPECT_EQ(trace_of(*server), baseline);
 }
 
 TEST(RuntimeMonitor, UninstallsSwitchHookOnDestruction) {
+  // The dangling-hook hazard: a faulted camera served on a shared engine
+  // must leave no callback behind on the engine's switcher once its
+  // server (and the stream's injector with it) is gone.
   auto sc = framework_with_daytime_model();
-  runtime::FaultPlan plan;
-  plan.switch_failure_prob = 1.0;
-  runtime::FaultInjector injector(plan, 85);
   {
-    sim::TrafficSimulator sim(sim::weather_params(dataset::Weather::Daytime), 86);
-    const sim::CameraModel cam(sim.intersection().geometry());
-    RealtimeMonitor monitor(*sc, sim, cam, MonitorConfig{}, 87, &injector);
+    StreamConfig cam = camera(86, 87, 85);
+    cam.faults.drop_prob = 0.10;
+    run_camera(*sc, cam, 30 * 60);
   }
-  // The dangling-hook hazard: after the monitor (and later the injector)
-  // die, the framework's switcher must not call back into them.
   const auto status = sc->switcher().try_switch_to("daytime");
   EXPECT_TRUE(status.ok);
 }

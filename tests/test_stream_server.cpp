@@ -6,11 +6,12 @@
 
 #include "serving/stream_server.h"
 
+#include <filesystem>
 #include <memory>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include "core/monitor.h"
 #include "models/slowfast.h"
 
 namespace safecross::serving {
@@ -262,39 +263,52 @@ TEST(StreamServer, ParityHoldsAcrossMidRunModelSwitch) {
   EXPECT_GE(batched.engine_switches() + reference.engine_switches(), 2u);
 }
 
-TEST(StreamServer, SequentialMatchesRealtimeMonitor) {
-  // The serving reference path and the original synchronous monitor are
-  // two implementations of the same per-stream policy; their scorecards
-  // over an identical stream must agree exactly.
+TEST(StreamServer, SequentialLatencyLogMatchesJournal) {
+  // run_sequential logs capture→verdict for model and fail-safe verdicts
+  // alike: one latency_log() entry per applied decision, in apply order,
+  // equal to the latency_ms the write-ahead journal recorded for it.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("safecross_seq_latency_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
   auto sc = engine_with_models({Weather::Daytime});
-  // Warm-start the engine so the monitor's constructor-time scene change
-  // is a no-op, matching the server's warm-start contract.
-  sc->on_scene_change(Weather::Daytime);
-  constexpr std::size_t kFrames = 30 * 120;
-  constexpr std::uint64_t kSimSeed = 535353, kCollectorSeed = 535354;
-
-  StreamServerConfig cfg;
-  cfg.frames = kFrames;
-  cfg.streams.push_back(make_stream("solo", Weather::Daytime, kSimSeed));
-  cfg.streams[0].collector_seed = kCollectorSeed;
+  StreamServerConfig cfg = parity_base_config();
+  cfg.frames = 30 * 90;
+  cfg.durability.dir = dir;
+  cfg.streams.push_back(make_stream("faulty", Weather::Daytime, 7100));
+  cfg.streams[0].faults.drop_prob = 0.05;  // mixes fail-safe verdicts in
   StreamServer server(*sc, cfg);
   server.run_sequential();
 
-  sim::TrafficSimulator sim(sim::weather_params(Weather::Daytime), kSimSeed);
-  const sim::CameraModel cam(sim.intersection().geometry());
-  core::MonitorConfig mcfg;
-  core::RealtimeMonitor monitor(*sc, sim, cam, mcfg, kCollectorSeed);
-  monitor.run(kFrames);
+  const core::StreamScorecard& card = server.stream(0).scorecard();
+  ASSERT_GT(card.model_decisions(), 0u);
+  ASSERT_GT(card.fail_safe_decisions(), 0u);
+  std::vector<double> journaled;
+  for (const runtime::JournalRecord& r : runtime::Journal::replay(dir / "journal.wal").records) {
+    if (r.type == runtime::JournalRecordType::Decision) journaled.push_back(r.decision.latency_ms);
+  }
+  fs::remove_all(dir);
+  EXPECT_EQ(server.latency_log().size(), card.decisions());
+  EXPECT_EQ(server.latency_log(), journaled);
+  for (double ms : server.latency_log()) EXPECT_GT(ms, 0.0);
+}
 
-  const auto& scorecard = server.stream(0).scorecard();
-  ASSERT_GT(monitor.decisions(), 0u);
-  EXPECT_EQ(scorecard.decisions(), monitor.decisions());
-  EXPECT_EQ(scorecard.warnings(), monitor.warnings());
-  EXPECT_EQ(scorecard.correct(), monitor.correct());
-  EXPECT_EQ(scorecard.missed_threats(), monitor.missed_threats());
-  EXPECT_EQ(scorecard.false_warnings(), monitor.false_warnings());
-  EXPECT_EQ(scorecard.fail_safe_decisions(), monitor.fail_safe_decisions());
-  EXPECT_EQ(scorecard.decision_opportunities(), monitor.decision_opportunities());
+TEST(StreamServer, SequentialDeadlineTurnsLateVerdictsConservative) {
+  // A budget no verdict can meet turns every model verdict of the
+  // sequential reference into a conservative FailSafeDeadline warn.
+  auto sc = engine_with_models({Weather::Daytime});
+  StreamServerConfig cfg = parity_base_config();
+  cfg.frames = 30 * 90;
+  cfg.streams.push_back(make_stream("strict", Weather::Daytime, 7100));
+  cfg.streams[0].health.decision_deadline_ms = 1e-6;
+  StreamServer server(*sc, cfg);
+  server.run_sequential();
+
+  const core::StreamScorecard& card = server.stream(0).scorecard();
+  ASSERT_GT(card.decisions(), 0u);
+  EXPECT_EQ(card.model_decisions(), 0u);
+  EXPECT_GT(card.fail_safe_by_source(runtime::DecisionSource::FailSafeDeadline), 0u);
+  for (const DecisionRecord& d : server.stream(0).trace()) EXPECT_TRUE(d.warn);
 }
 
 TEST(StreamServer, ProducerCrashesWithinBudgetChangeNothing) {
