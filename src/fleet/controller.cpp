@@ -290,8 +290,9 @@ void FleetController::run_wave(std::vector<Launched>& wave, std::size_t wave_no)
       Launched& l = wave[idx];
       if (l.finished || l.dead) continue;
       ShardHost& host = *hosts_[l.shard];
-      const Clock::time_point now = Clock::now();
+      // Status before now: crashed_at_ is stored before Crashed is released, so now >= crashed_at_.
       const ShardStatus st = host.status();
+      const Clock::time_point now = Clock::now();
 
       if (st == ShardStatus::Completed) {
         l.finished = true;

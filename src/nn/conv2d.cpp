@@ -11,7 +11,6 @@ namespace safecross::nn {
 
 Conv2D::Conv2D(Conv2DConfig config)
     : config_(config),
-      backend_(resolve_conv_backend(config.backend)),
       weight_(Tensor({config.out_channels, config.in_channels, config.kernel, config.kernel})),
       bias_(Tensor({config.out_channels})) {
   if (config.kernel < 1 || config.stride < 1 || config.padding < 0) {
@@ -28,32 +27,16 @@ std::vector<Param*> Conv2D::params() {
   return {&weight_};
 }
 
+// Per batch item: col = im2col(x) with rows in weight order, so
+// y (c_out x oh*ow) = W (c_out x rows) * col, and in backward
+// dW += dy * col^T and dx = col2im(W^T * dy).
+
 Tensor Conv2D::forward(const Tensor& input, bool training) {
   if (input.ndim() != 4 || input.dim(1) != config_.in_channels) {
     throw std::invalid_argument("Conv2D: expected (N, " + std::to_string(config_.in_channels) +
                                 ", H, W), got " + input.shape_str());
   }
   cached_input_ = input;
-  const int oh = out_size(input.dim(2), config_.kernel, config_.stride, config_.padding);
-  const int ow = out_size(input.dim(3), config_.kernel, config_.stride, config_.padding);
-  if (oh <= 0 || ow <= 0) throw std::invalid_argument("Conv2D: output would be empty");
-  return backend_ == ConvBackend::kDirect ? forward_direct(input)
-                                          : forward_gemm(input, training);
-}
-
-Tensor Conv2D::backward(const Tensor& grad_output) {
-  return backend_ == ConvBackend::kDirect ? backward_direct(grad_output)
-                                          : backward_gemm(grad_output);
-}
-
-// ---------------------------------------------------------------------------
-// im2col + GEMM backend.
-//
-// Per batch item: col = im2col(x) with rows in weight order, so
-// y (c_out x oh*ow) = W (c_out x rows) * col, and in backward
-// dW += dy * col^T and dx = col2im(W^T * dy).
-
-Tensor Conv2D::forward_gemm(const Tensor& input, bool training) {
   const int n = input.dim(0), c_in = input.dim(1), h = input.dim(2), w = input.dim(3);
   const int k = config_.kernel, c_out = config_.out_channels;
   const Im2ColGeom2D g{c_in, h,
@@ -61,6 +44,7 @@ Tensor Conv2D::forward_gemm(const Tensor& input, bool training) {
                        config_.stride, config_.padding,
                        out_size(h, k, config_.stride, config_.padding),
                        out_size(w, k, config_.stride, config_.padding)};
+  if (g.oh <= 0 || g.ow <= 0) throw std::invalid_argument("Conv2D: output would be empty");
   const int rows = g.rows();
   const std::size_t cols = g.cols();
   const std::size_t per_item = static_cast<std::size_t>(rows) * cols;
@@ -110,7 +94,7 @@ Tensor Conv2D::forward_gemm(const Tensor& input, bool training) {
   return out;
 }
 
-Tensor Conv2D::backward_gemm(const Tensor& grad_output) {
+Tensor Conv2D::backward(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
   const int n = input.dim(0), c_in = input.dim(1), h = input.dim(2), w = input.dim(3);
   const int k = config_.kernel, c_out = config_.out_channels;
@@ -166,115 +150,6 @@ Tensor Conv2D::backward_gemm(const Tensor& grad_output) {
                 (static_cast<int>(ic) + 1) * g.rows_per_channel(), gi_b);
     });
   }
-  return grad_input;
-}
-
-// ---------------------------------------------------------------------------
-// Direct backend: the original naive loops, kept as the parity oracle.
-
-Tensor Conv2D::forward_direct(const Tensor& input) {
-  const int n = input.dim(0), c_in = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const int k = config_.kernel, s = config_.stride, p = config_.padding;
-  const int c_out = config_.out_channels;
-  const int oh = out_size(h, k, s, p);
-  const int ow = out_size(w, k, s, p);
-
-  Tensor out({n, c_out, oh, ow});
-  const float* x = input.data();
-  const float* wgt = weight_.value.data();
-  const float* b = bias_.value.data();
-  float* y = out.data();
-
-  safecross::ThreadPool::global().parallel_for(
-      static_cast<std::size_t>(n) * c_out, [&](std::size_t job) {
-        const int bi = static_cast<int>(job) / c_out;
-        const int oc = static_cast<int>(job) % c_out;
-        for (int oy = 0; oy < oh; ++oy) {
-          for (int ox = 0; ox < ow; ++ox) {
-            float acc = config_.bias ? b[oc] : 0.0f;
-            for (int ic = 0; ic < c_in; ++ic) {
-              for (int ky = 0; ky < k; ++ky) {
-                const int iy = oy * s - p + ky;
-                if (iy < 0 || iy >= h) continue;
-                for (int kx = 0; kx < k; ++kx) {
-                  const int ix = ox * s - p + kx;
-                  if (ix < 0 || ix >= w) continue;
-                  acc += x[((static_cast<std::size_t>(bi) * c_in + ic) * h + iy) * w + ix] *
-                         wgt[((static_cast<std::size_t>(oc) * c_in + ic) * k + ky) * k + kx];
-                }
-              }
-            }
-            y[((static_cast<std::size_t>(bi) * c_out + oc) * oh + oy) * ow + ox] = acc;
-          }
-        }
-      });
-  return out;
-}
-
-Tensor Conv2D::backward_direct(const Tensor& grad_output) {
-  const Tensor& input = cached_input_;
-  const int n = input.dim(0), c_in = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const int k = config_.kernel, s = config_.stride, p = config_.padding;
-  const int c_out = config_.out_channels;
-  const int oh = grad_output.dim(2), ow = grad_output.dim(3);
-
-  Tensor grad_input({n, c_in, h, w}, 0.0f);
-  const float* x = input.data();
-  const float* go = grad_output.data();
-  const float* wgt = weight_.value.data();
-  float* gi = grad_input.data();
-  float* gw = weight_.grad.data();
-  float* gb = bias_.grad.data();
-
-  // Weight/bias gradients, parallel over output channels (each job owns
-  // disjoint slices of gw/gb).
-  safecross::ThreadPool::global().parallel_for(static_cast<std::size_t>(c_out), [&](std::size_t ocj) {
-    const int oc = static_cast<int>(ocj);
-    for (int bi = 0; bi < n; ++bi) {
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          const float g = go[((static_cast<std::size_t>(bi) * c_out + oc) * oh + oy) * ow + ox];
-          if (config_.bias) gb[oc] += g;
-          for (int ic = 0; ic < c_in; ++ic) {
-            for (int ky = 0; ky < k; ++ky) {
-              const int iy = oy * s - p + ky;
-              if (iy < 0 || iy >= h) continue;
-              for (int kx = 0; kx < k; ++kx) {
-                const int ix = ox * s - p + kx;
-                if (ix < 0 || ix >= w) continue;
-                gw[((static_cast<std::size_t>(oc) * c_in + ic) * k + ky) * k + kx] +=
-                    g * x[((static_cast<std::size_t>(bi) * c_in + ic) * h + iy) * w + ix];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
-
-  // Input gradient, parallel over batch (each job owns one batch slice).
-  safecross::ThreadPool::global().parallel_for(static_cast<std::size_t>(n), [&](std::size_t bij) {
-    const int bi = static_cast<int>(bij);
-    for (int oc = 0; oc < c_out; ++oc) {
-      for (int oy = 0; oy < oh; ++oy) {
-        for (int ox = 0; ox < ow; ++ox) {
-          const float g = go[((static_cast<std::size_t>(bi) * c_out + oc) * oh + oy) * ow + ox];
-          for (int ic = 0; ic < c_in; ++ic) {
-            for (int ky = 0; ky < k; ++ky) {
-              const int iy = oy * s - p + ky;
-              if (iy < 0 || iy >= h) continue;
-              for (int kx = 0; kx < k; ++kx) {
-                const int ix = ox * s - p + kx;
-                if (ix < 0 || ix >= w) continue;
-                gi[((static_cast<std::size_t>(bi) * c_in + ic) * h + iy) * w + ix] +=
-                    g * wgt[((static_cast<std::size_t>(oc) * c_in + ic) * k + ky) * k + kx];
-              }
-            }
-          }
-        }
-      }
-    }
-  });
   return grad_input;
 }
 

@@ -3,13 +3,11 @@
 //
 // The workhorse of the SlowFast pathways and the C3D baseline: temporal
 // kernel x spatial kernel with independent strides, zero padding.
-// Two backends (see conv_backend.h): the default lowers each clip with
-// im2col_3d and runs a cache-blocked GEMM; kDirect keeps the original
-// range-clipped loops as a parity oracle.
+// Each clip is lowered with im2col_3d and multiplied against the
+// flattened weight by the packed GEMM (nn/gemm.h).
 
 #include <vector>
 
-#include "nn/conv_backend.h"
 #include "nn/layer.h"
 
 namespace safecross::nn {
@@ -24,7 +22,6 @@ struct Conv3DConfig {
   int pad_t = 1;
   int pad_s = 1;
   bool bias = true;
-  ConvBackend backend = ConvBackend::kAuto;
 };
 
 class Conv3D final : public Layer {
@@ -39,25 +36,16 @@ class Conv3D final : public Layer {
   const Conv3DConfig& config() const { return config_; }
   Param& weight() { return weight_; }
 
-  /// The concrete backend this layer resolved to (never kAuto).
-  ConvBackend backend() const { return backend_; }
-
   static int out_size(int in, int kernel, int stride, int padding);
 
  private:
-  Tensor forward_direct(const Tensor& input);
-  Tensor backward_direct(const Tensor& grad_output);
-  Tensor forward_gemm(const Tensor& input, bool training);
-  Tensor backward_gemm(const Tensor& grad_output);
-
   Conv3DConfig config_;
-  ConvBackend backend_;
   Param weight_;  // (out_c, in_c, kt, ks, ks)
   Param bias_;    // (out_c)
   Tensor cached_input_;
-  // GEMM-backend state: training forwards keep the lowered batch here for
-  // backward's weight gradient; inference forwards lower into the calling
-  // thread's ScratchArena (see conv2d.h).
+  // Training forwards keep the lowered batch here for backward's weight
+  // gradient; inference forwards lower into the calling thread's
+  // ScratchArena (see conv2d.h).
   std::vector<float> col_;
   bool col_valid_ = false;
 };

@@ -12,87 +12,10 @@ namespace safecross::nn {
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Scalar fallback: the pre-microkernel implementation, kept verbatim as
-// the portable path for sanitizer builds and as the parity oracle the
-// tests compare the packed kernel against.
-
-// Contiguous dot product with a 16-lane accumulator bank so the float
-// reduction vectorizes (SLP) without -ffast-math reassociation.
-float dot16(const float* a, const float* b, int k) {
-  constexpr int kLanes = 16;
-  float acc[kLanes] = {};
-  int kk = 0;
-  for (; kk + kLanes <= k; kk += kLanes) {
-    for (int u = 0; u < kLanes; ++u) acc[u] += a[kk + u] * b[kk + u];
-  }
-  float s = 0.0f;
-  for (int u = 0; u < kLanes; ++u) s += acc[u];
-  for (; kk < k; ++kk) s += a[kk] * b[kk];
-  return s;
-}
-
-// One m-tile x n-tile block of C. The inner loops are laid out per
-// transpose case so the innermost axis is always contiguous in memory:
-// axpy over C rows for kNo B (k in cache-resident slabs so the touched
-// B rows stay hot), dot products over full rows for kTrans B.
-void scalar_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, int k, float alpha,
-                 const float* a, int lda, const float* b, int ldb, float beta, float* c, int ldc) {
-  for (int i = i0; i < i1; ++i) {
-    float* crow = c + static_cast<std::size_t>(i) * ldc;
-    if (beta == 0.0f) {
-      std::fill(crow + j0, crow + j1, 0.0f);
-    } else if (beta != 1.0f) {
-      for (int j = j0; j < j1; ++j) crow[j] *= beta;
-    }
-  }
-
-  if (trans_b == Trans::kNo) {
-    // C[i, j0:j1] += alpha * op(A)[i, kk] * B[kk, j0:j1] — axpy over the
-    // contiguous C row, vectorizable.
-    for (int kc = 0; kc < k; kc += detail::kKc) {
-      const int kend = std::min(k, kc + detail::kKc);
-      for (int i = i0; i < i1; ++i) {
-        float* crow = c + static_cast<std::size_t>(i) * ldc;
-        for (int kk = kc; kk < kend; ++kk) {
-          const float av =
-              alpha * (trans_a == Trans::kNo ? a[static_cast<std::size_t>(i) * lda + kk]
-                                             : a[static_cast<std::size_t>(kk) * lda + i]);
-          const float* brow = b + static_cast<std::size_t>(kk) * ldb;
-          for (int j = j0; j < j1; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  } else if (trans_a == Trans::kNo) {
-    // op(B) = B^T: C[i, j] += alpha * dot(A[i, :], B[j, :]).
-    for (int i = i0; i < i1; ++i) {
-      float* crow = c + static_cast<std::size_t>(i) * ldc;
-      const float* arow = a + static_cast<std::size_t>(i) * lda;
-      for (int j = j0; j < j1; ++j) {
-        crow[j] += alpha * dot16(arow, b + static_cast<std::size_t>(j) * ldb, k);
-      }
-    }
-  } else {
-    // A^T * B^T: strided A reads; rare (no hot path uses it).
-    for (int i = i0; i < i1; ++i) {
-      float* crow = c + static_cast<std::size_t>(i) * ldc;
-      for (int j = j0; j < j1; ++j) {
-        const float* brow = b + static_cast<std::size_t>(j) * ldb;
-        float s = 0.0f;
-        for (int kk = 0; kk < k; ++kk) s += a[static_cast<std::size_t>(kk) * lda + i] * brow[kk];
-        crow[j] += alpha * s;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Packed path: one (mc x nc) macro-tile of C, k walked in kKc slabs.
-// Both operand panels are packed into this worker's thread-local arena
-// (zero allocation at steady state) so the microkernel streams aligned,
+// One (mc x nc) macro-tile of C, k walked in kKc slabs. Both operand
+// panels are packed into this worker's thread-local arena (zero
+// allocation at steady state) so the microkernel streams aligned,
 // contiguous, transpose-free strips whatever the caller's layout was.
-
-template <bool kHalf>
 void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, int k, float alpha,
                  const float* a, int lda, const float* b, int ldb, float beta, float* c, int ldc) {
   using namespace detail;
@@ -107,8 +30,7 @@ void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, i
   // skip the pack entirely (only the sub-16 column tail is packed, for
   // zero-padding). This is the im2col conv-forward shape — m = c_out,
   // n = output positions — where packing B would double memory traffic.
-  // (The fp16 path always packs: rounding happens at pack time.)
-  const bool b_direct = !kHalf && trans_b == Trans::kNo && mc <= 2 * kMr;
+  const bool b_direct = trans_b == Trans::kNo && mc <= 2 * kMr;
 
   ScratchArena& arena = ScratchArena::local();
   ScratchArena::Scope scope(arena);
@@ -118,8 +40,8 @@ void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, i
 
   for (int k0 = 0; k0 < k; k0 += kKc) {
     const int kc = std::min(kKc, k - k0);
-    pack_a<kHalf>(trans_a, a, lda, i0, mc, k0, kc, pa);
-    if (!b_direct) pack_b<kHalf>(trans_b, b, ldb, k0, kc, j0, nc, pb);
+    pack_a(trans_a, a, lda, i0, mc, k0, kc, pa);
+    if (!b_direct) pack_b(trans_b, b, ldb, k0, kc, j0, nc, pb);
     // The first slab applies the caller's beta; later slabs accumulate.
     const float beta_eff = k0 == 0 ? beta : 1.0f;
     for (int jr = 0; jr < nc; jr += kNr) {
@@ -128,7 +50,7 @@ void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, i
       if (!b_direct) {
         bstrip = pb + static_cast<std::size_t>(jr) * kc;
       } else if (nr < kNr) {
-        pack_b<kHalf>(trans_b, b, ldb, k0, kc, j0 + jr, nr, pb);
+        pack_b(trans_b, b, ldb, k0, kc, j0 + jr, nr, pb);
         bstrip = pb;
       }
       for (int ir = 0; ir < mc; ir += kMr) {
@@ -150,7 +72,7 @@ void packed_tile(Trans trans_a, Trans trans_b, int i0, int i1, int j0, int j1, i
 }  // namespace
 
 void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const float* a, int lda,
-           const float* b, int ldb, float beta, float* c, int ldc, GemmKernel kernel) {
+           const float* b, int ldb, float beta, float* c, int ldc) {
   if (m < 0 || n < 0 || k < 0) throw std::invalid_argument("sgemm: negative dimension");
   if (m == 0 || n == 0) return;
   if (k == 0) {
@@ -164,7 +86,6 @@ void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const
     }
     return;
   }
-  const GemmKernel resolved = resolve_gemm_kernel(kernel);
 
   // Tile C in 2-D; start from cache-friendly macro-tiles and shrink until
   // there is enough fan-out for the pool, down to one microkernel block.
@@ -172,21 +93,20 @@ void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const
   // huge n) fan out along whichever axis has room. k is never split, so
   // each C element's summation order — and thus the result bit pattern —
   // is independent of the worker count and tiling decisions.
-  const bool scalar = resolved == GemmKernel::kScalar;
-  const int min_tm = scalar ? 8 : detail::kMr;
-  const int min_tn = scalar ? 32 : detail::kNr;
-  int tm = std::min(m, scalar ? 64 : detail::kMc);
-  int tn = std::min(n, scalar ? 256 : detail::kNc);
+  using detail::kMr;
+  using detail::kNr;
+  int tm = std::min(m, detail::kMc);
+  int tn = std::min(n, detail::kNc);
   const std::size_t workers = ThreadPool::global().size();
   auto tiles = [&] {
     return static_cast<std::size_t>((m + tm - 1) / tm) *
            static_cast<std::size_t>((n + tn - 1) / tn);
   };
-  while (tiles() < 2 * workers && (tm > min_tm || tn > min_tn)) {
-    if (tn > min_tn) {
-      tn = std::max(min_tn, tn / 2);
+  while (tiles() < 2 * workers && (tm > kMr || tn > kNr)) {
+    if (tn > kNr) {
+      tn = std::max(kNr, tn / 2);
     } else {
-      tm = std::max(min_tm, tm / 2);
+      tm = std::max(kMr, tm / 2);
     }
   }
 
@@ -196,19 +116,7 @@ void sgemm(Trans trans_a, Trans trans_b, int m, int n, int k, float alpha, const
     const int tj = static_cast<int>(tile) % tiles_n;
     const int i0 = ti * tm, i1 = std::min(m, i0 + tm);
     const int j0 = tj * tn, j1 = std::min(n, j0 + tn);
-    switch (resolved) {
-      case GemmKernel::kScalar:
-        scalar_tile(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
-        break;
-      case GemmKernel::kFp16:
-        packed_tile<true>(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c,
-                          ldc);
-        break;
-      default:
-        packed_tile<false>(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c,
-                           ldc);
-        break;
-    }
+    packed_tile(trans_a, trans_b, i0, i1, j0, j1, k, alpha, a, lda, b, ldb, beta, c, ldc);
   });
 }
 

@@ -1,5 +1,5 @@
 #pragma once
-// Patch lowering for the GEMM convolution backend.
+// Patch lowering for the Conv2D/Conv3D layers.
 //
 // im2col rewrites one image/clip as a (rows x cols) matrix whose row r
 // holds, for every output position, the input value the kernel element r

@@ -47,11 +47,9 @@ void HealthMonitor::on_frame_event() {
 void HealthMonitor::frame_ok() {
   missing_streak_ = 0;
   ++healthy_streak_;
-  // De-escalate one level at a time after a sustained healthy streak; a
-  // latched switch failure pins FailSafe regardless of stream health.
+  // De-escalate one level at a time after a sustained healthy streak.
   if (healthy_streak_ >= config_.recover_after_healthy && state_ != HealthState::Nominal &&
-      !switch_failure_latched_ && !miscalibrated_ && !fail_safe_latched() &&
-      switch_frames_left_ == 0) {
+      !miscalibrated_ && !fail_safe_latched() && switch_frames_left_ == 0) {
     state_ = static_cast<HealthState>(static_cast<int>(state_) - 1);
     healthy_streak_ = 0;
     ++transitions_;
@@ -86,20 +84,12 @@ void HealthMonitor::switch_started(double delay_ms) {
   if (switch_frames_left_ > 0) escalate(HealthState::Degraded);
 }
 
-void HealthMonitor::switch_failed() {
-  switch_failure_latched_ = true;
-  escalate(HealthState::FailSafe);
-}
-
-void HealthMonitor::switch_recovered() { switch_failure_latched_ = false; }
-
 void HealthMonitor::save_state(common::StateWriter& w) const {
   w.boolean(external_latch_.load(std::memory_order_acquire));
   w.u8(static_cast<std::uint8_t>(state_));
   w.i32(missing_streak_);
   w.i32(healthy_streak_);
   w.i32(switch_frames_left_);
-  w.boolean(switch_failure_latched_);
   w.boolean(miscalibrated_);
   w.u64(transitions_);
   for (std::size_t n : frames_in_) w.u64(n);
@@ -111,7 +101,6 @@ void HealthMonitor::load_state(common::StateReader& r) {
   missing_streak_ = r.i32();
   healthy_streak_ = r.i32();
   switch_frames_left_ = r.i32();
-  switch_failure_latched_ = r.boolean();
   miscalibrated_ = r.boolean();
   transitions_ = static_cast<std::size_t>(r.u64());
   for (std::size_t& n : frames_in_) n = static_cast<std::size_t>(r.u64());

@@ -3,7 +3,7 @@
 //
 // The pipeline must *fail conservative*, never fail silent: when the frame
 // stream stalls, the rolling window is gapped or frozen, a model switch is
-// in flight (or died), or the classifier blows its per-decision deadline,
+// in flight, or the classifier blows its per-decision deadline,
 // the service should keep answering — with a conservative "do not turn"
 // warning tagged with the reason — rather than crash or trust stale data.
 //
@@ -15,8 +15,7 @@
 //        └── healthy streak ┘ └─ healthy streak ┘
 //
 // Escalation is immediate; de-escalation is one level per sustained
-// healthy streak, and a failed model switch latches FailSafe until the
-// switcher reports recovery. All thresholds live in HealthConfig.
+// healthy streak. All thresholds live in HealthConfig.
 
 #include <atomic>
 #include <cstddef>
@@ -37,7 +36,7 @@ enum class DecisionSource {
   Model = 0,
   FailSafeIncompleteWindow,  // rolling window gapped by drops, or short
   FailSafeStaleWindow,       // too many frozen/duplicated frames in window
-  FailSafeSwitchInFlight,    // model swap in progress or latched failure
+  FailSafeSwitchInFlight,    // model swap in progress
   FailSafeDeadline,          // classifier blew the per-decision deadline
   FailSafeStageDown,         // a supervised producer exhausted its retry budget
   FailSafeMiscalibrated,     // camera drifted past the calibration threshold
@@ -79,14 +78,7 @@ class HealthMonitor {
   /// A model swap started; its simulated latency translates into
   /// ceil(delay_ms / frame_interval_ms) frames of planned unavailability.
   void switch_started(double delay_ms);
-  /// The swap failed: latch FailSafe until switch_recovered().
-  void switch_failed();
-  /// A later swap succeeded: release the latch (state recovers via the
-  /// normal healthy-streak path).
-  void switch_recovered();
-
   bool switch_in_flight() const { return switch_frames_left_ > 0; }
-  bool switch_failure_latched() const { return switch_failure_latched_; }
 
   // --- calibration events ---
   /// Latch/clear the miscalibration cause: the recalibration loop detected
@@ -151,7 +143,6 @@ class HealthMonitor {
   int missing_streak_ = 0;
   int healthy_streak_ = 0;
   int switch_frames_left_ = 0;
-  bool switch_failure_latched_ = false;
   bool miscalibrated_ = false;
   std::size_t transitions_ = 0;
   std::size_t frames_in_[3] = {0, 0, 0};

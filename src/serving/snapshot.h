@@ -36,8 +36,9 @@ class SnapshotStore {
  public:
   static constexpr std::uint32_t kMagic = 0x4E535853u;  // "SXSN"
   // v2: detached flags in the payload; v3: fault-injector state lost its
-  // switch-failure counter.
-  static constexpr std::uint32_t kVersion = 3;
+  // switch-failure counter; v4: health-monitor state lost its
+  // switch-failure latch.
+  static constexpr std::uint32_t kVersion = 4;
 
   /// Opens (and creates) `dir`; scans existing generations so the next
   /// write() continues the sequence instead of reusing a burned number.

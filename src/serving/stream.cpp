@@ -50,7 +50,7 @@ DecisionSource gate_reason(const runtime::HealthMonitor& health,
     // downstream of it is trustworthy until the latch clears.
     return DecisionSource::FailSafeStageDown;
   }
-  if (health.switch_failure_latched() || health.switch_in_flight()) {
+  if (health.switch_in_flight()) {
     return DecisionSource::FailSafeSwitchInFlight;
   }
   if (health.miscalibrated()) {

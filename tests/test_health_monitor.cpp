@@ -9,7 +9,6 @@ TEST(HealthMonitor, StartsNominal) {
   HealthMonitor hm;
   EXPECT_EQ(hm.state(), HealthState::Nominal);
   EXPECT_FALSE(hm.switch_in_flight());
-  EXPECT_FALSE(hm.switch_failure_latched());
 }
 
 TEST(HealthMonitor, MissingFramesEscalateThroughDegradedToFailSafe) {
@@ -80,23 +79,6 @@ TEST(HealthMonitor, InstantSwitchDoesNotDegrade) {
   HealthMonitor hm;
   hm.switch_started(0.0);
   EXPECT_FALSE(hm.switch_in_flight());
-  EXPECT_EQ(hm.state(), HealthState::Nominal);
-}
-
-TEST(HealthMonitor, SwitchFailureLatchesFailSafeUntilRecovered) {
-  HealthConfig cfg;
-  cfg.recover_after_healthy = 5;
-  HealthMonitor hm(cfg);
-  hm.switch_failed();
-  EXPECT_EQ(hm.state(), HealthState::FailSafe);
-  EXPECT_TRUE(hm.switch_failure_latched());
-  for (int i = 0; i < 100; ++i) hm.frame_ok();
-  EXPECT_EQ(hm.state(), HealthState::FailSafe) << "latched failure pins FailSafe";
-  hm.switch_recovered();
-  EXPECT_FALSE(hm.switch_failure_latched());
-  for (int i = 0; i < 5; ++i) hm.frame_ok();
-  EXPECT_EQ(hm.state(), HealthState::Degraded);
-  for (int i = 0; i < 5; ++i) hm.frame_ok();
   EXPECT_EQ(hm.state(), HealthState::Nominal);
 }
 

@@ -3,8 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
+#include "conv_reference.h"
 #include "gradcheck.h"
 #include "nn/activations.h"
 #include "nn/batchnorm.h"
@@ -74,66 +73,59 @@ TEST(Conv3D, EmptyOutputRejected) {
   EXPECT_THROW(conv.forward(Tensor({1, 1, 3, 4, 4}), false), std::invalid_argument);
 }
 
-// --- direct vs im2col backend parity -------------------------------------
+// --- im2col layers vs the double-precision reference --------------------
 //
-// Both backends must agree on forward outputs, input gradients, and
-// parameter gradients for every geometry — tested on deliberately awkward
-// strides and paddings where the im2col range math is easiest to get wrong.
+// Forward outputs, input gradients, and parameter gradients must match the
+// plain loop nest of conv_reference.h for every geometry — tested on
+// deliberately awkward strides and paddings where the im2col range math is
+// easiest to get wrong.
 
-void copy_params(std::vector<Param*> from, std::vector<Param*> to) {
-  ASSERT_EQ(from.size(), to.size());
-  for (std::size_t i = 0; i < from.size(); ++i) to[i]->value = from[i]->value;
-}
-
-void expect_tensors_near(const Tensor& a, const Tensor& b, float tol, const char* what) {
-  ASSERT_EQ(a.shape(), b.shape()) << what;
-  for (std::size_t i = 0; i < a.numel(); ++i) {
-    ASSERT_NEAR(a[i], b[i], tol) << what << " at " << i;
+void expect_near_reference(const Tensor& got, const std::vector<double>& want, const char* what) {
+  ASSERT_EQ(got.numel(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_NEAR(got[i], want[i], 1e-4) << what << " at " << i;
   }
 }
 
-void expect_conv2d_backend_parity(Conv2DConfig cfg, const std::vector<int>& in_shape,
-                                  std::uint64_t seed) {
-  cfg.backend = ConvBackend::kDirect;
-  Conv2D direct(cfg);
-  cfg.backend = ConvBackend::kIm2col;
-  Conv2D gemm(cfg);
-  ASSERT_EQ(direct.backend(), ConvBackend::kDirect);
-  ASSERT_EQ(gemm.backend(), ConvBackend::kIm2col);
-  copy_params(direct.params(), gemm.params());
-
+void expect_layer_matches_reference(Layer& layer, const testing::ConvGeom& g,
+                                    const std::vector<int>& in_shape, std::uint64_t seed) {
+  // Random weight and bias, so neither forward nor grad_input is zero.
+  const std::vector<Param*> params = layer.params();
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    params[i]->value = random_tensor(params[i]->value.shape(), seed + 1 + i);
+  }
   const Tensor x = random_tensor(in_shape, seed);
-  const Tensor y_direct = direct.forward(x, true);
-  const Tensor y_gemm = gemm.forward(x, true);
-  expect_tensors_near(y_direct, y_gemm, 1e-4f, "forward");
+  const Tensor y = layer.forward(x, true);
+  const Tensor gy = random_tensor(y.shape(), seed ^ 0x5EEDu);
+  const Tensor gx = layer.backward(gy);
+  const float* bias = params.size() > 1 ? params[1]->value.data() : nullptr;
+  const testing::ConvReference ref =
+      testing::conv_reference(g, x.data(), params[0]->value.data(), bias, gy.data());
 
-  const Tensor gy = random_tensor(y_direct.shape(), seed ^ 0x5EEDu);
-  const Tensor gx_direct = direct.backward(gy);
-  const Tensor gx_gemm = gemm.backward(gy);
-  expect_tensors_near(gx_direct, gx_gemm, 1e-4f, "grad_input");
-  expect_tensors_near(direct.weight().grad, gemm.weight().grad, 1e-4f, "grad_weight");
-  expect_tensors_near(direct.bias().grad, gemm.bias().grad, 1e-4f, "grad_bias");
+  expect_near_reference(y, ref.y, "forward");
+  expect_near_reference(gx, ref.grad_input, "grad_input");
+  expect_near_reference(params[0]->grad, ref.grad_weight, "grad_weight");
+  if (bias != nullptr) expect_near_reference(params[1]->grad, ref.grad_bias, "grad_bias");
 }
 
-void expect_conv3d_backend_parity(Conv3DConfig cfg, const std::vector<int>& in_shape,
-                                  std::uint64_t seed) {
-  cfg.backend = ConvBackend::kDirect;
-  Conv3D direct(cfg);
-  cfg.backend = ConvBackend::kIm2col;
-  Conv3D gemm(cfg);
-  copy_params(direct.params(), gemm.params());
+void expect_conv2d_matches_reference(Conv2DConfig cfg, const std::vector<int>& in_shape,
+                                     std::uint64_t seed) {
+  Conv2D layer(cfg);
+  const testing::ConvGeom g{.n = in_shape[0], .c_in = in_shape[1], .t = 1, .h = in_shape[2],
+                            .w = in_shape[3], .c_out = cfg.out_channels, .kt = 1,
+                            .ks = cfg.kernel, .st = 1, .ss = cfg.stride, .pt = 0,
+                            .ps = cfg.padding};
+  expect_layer_matches_reference(layer, g, in_shape, seed);
+}
 
-  const Tensor x = random_tensor(in_shape, seed);
-  const Tensor y_direct = direct.forward(x, true);
-  expect_tensors_near(y_direct, gemm.forward(x, true), 1e-4f, "forward");
-
-  const Tensor gy = random_tensor(y_direct.shape(), seed ^ 0x5EEDu);
-  expect_tensors_near(direct.backward(gy), gemm.backward(gy), 1e-4f, "grad_input");
-  const auto pd = direct.params();
-  const auto pg = gemm.params();
-  for (std::size_t i = 0; i < pd.size(); ++i) {
-    expect_tensors_near(pd[i]->grad, pg[i]->grad, 1e-4f, "param grad");
-  }
+void expect_conv3d_matches_reference(Conv3DConfig cfg, const std::vector<int>& in_shape,
+                                     std::uint64_t seed) {
+  Conv3D layer(cfg);
+  const testing::ConvGeom g{.n = in_shape[0], .c_in = in_shape[1], .t = in_shape[2],
+                            .h = in_shape[3], .w = in_shape[4], .c_out = cfg.out_channels,
+                            .kt = cfg.kernel_t, .ks = cfg.kernel_s, .st = cfg.stride_t,
+                            .ss = cfg.stride_s, .pt = cfg.pad_t, .ps = cfg.pad_s};
+  expect_layer_matches_reference(layer, g, in_shape, seed);
 }
 
 TEST(Conv2D, BackendParityBasic) {
@@ -143,7 +135,7 @@ TEST(Conv2D, BackendParityBasic) {
   cfg.kernel = 3;
   cfg.stride = 1;
   cfg.padding = 1;
-  expect_conv2d_backend_parity(cfg, {2, 3, 9, 11}, 101);
+  expect_conv2d_matches_reference(cfg, {2, 3, 9, 11}, 101);
 }
 
 TEST(Conv2D, BackendParityOddStridePadding) {
@@ -153,7 +145,7 @@ TEST(Conv2D, BackendParityOddStridePadding) {
   cfg.kernel = 5;
   cfg.stride = 3;
   cfg.padding = 2;
-  expect_conv2d_backend_parity(cfg, {2, 2, 13, 10}, 102);
+  expect_conv2d_matches_reference(cfg, {2, 2, 13, 10}, 102);
 }
 
 TEST(Conv2D, BackendParityUnpaddedStride2) {
@@ -163,7 +155,7 @@ TEST(Conv2D, BackendParityUnpaddedStride2) {
   cfg.kernel = 4;
   cfg.stride = 2;
   cfg.padding = 0;
-  expect_conv2d_backend_parity(cfg, {3, 1, 12, 8}, 103);
+  expect_conv2d_matches_reference(cfg, {3, 1, 12, 8}, 103);
 }
 
 TEST(Conv3D, BackendParityBasic) {
@@ -174,7 +166,7 @@ TEST(Conv3D, BackendParityBasic) {
   cfg.kernel_s = 3;
   cfg.pad_t = 1;
   cfg.pad_s = 1;
-  expect_conv3d_backend_parity(cfg, {2, 2, 6, 7, 8}, 201);
+  expect_conv3d_matches_reference(cfg, {2, 2, 6, 7, 8}, 201);
 }
 
 TEST(Conv3D, BackendParityTemporalStride) {
@@ -189,7 +181,7 @@ TEST(Conv3D, BackendParityTemporalStride) {
   cfg.stride_s = 1;
   cfg.pad_t = 0;
   cfg.pad_s = 0;
-  expect_conv3d_backend_parity(cfg, {1, 2, 8, 5, 6}, 202);
+  expect_conv3d_matches_reference(cfg, {1, 2, 8, 5, 6}, 202);
 }
 
 TEST(Conv3D, BackendParityOddStridePadding) {
@@ -202,28 +194,7 @@ TEST(Conv3D, BackendParityOddStridePadding) {
   cfg.stride_s = 3;
   cfg.pad_t = 1;
   cfg.pad_s = 2;
-  expect_conv3d_backend_parity(cfg, {2, 3, 7, 11, 9}, 203);
-}
-
-TEST(ConvBackend, EnvVarSelectsBackend) {
-  Conv2DConfig cfg;  // backend left at kAuto
-
-  ASSERT_EQ(setenv("SAFECROSS_CONV_BACKEND", "direct", 1), 0);
-  EXPECT_EQ(Conv2D(cfg).backend(), ConvBackend::kDirect);
-
-  ASSERT_EQ(setenv("SAFECROSS_CONV_BACKEND", "im2col", 1), 0);
-  EXPECT_EQ(Conv2D(cfg).backend(), ConvBackend::kIm2col);
-
-  // Unknown value and unset both fall back to the im2col default, and an
-  // explicit per-layer choice always beats the environment.
-  ASSERT_EQ(setenv("SAFECROSS_CONV_BACKEND", "bogus", 1), 0);
-  EXPECT_EQ(Conv2D(cfg).backend(), ConvBackend::kIm2col);
-  cfg.backend = ConvBackend::kDirect;
-  EXPECT_EQ(Conv2D(cfg).backend(), ConvBackend::kDirect);
-
-  ASSERT_EQ(unsetenv("SAFECROSS_CONV_BACKEND"), 0);
-  cfg.backend = ConvBackend::kAuto;
-  EXPECT_EQ(Conv2D(cfg).backend(), ConvBackend::kIm2col);
+  expect_conv3d_matches_reference(cfg, {2, 3, 7, 11, 9}, 203);
 }
 
 TEST(MaxPool2D, PicksWindowMaximum) {
